@@ -228,6 +228,27 @@ impl InvariantChecker {
         Ok(())
     }
 
+    /// Called for every issued instruction with the latest completion
+    /// cycle among its in-flight producers (0 when none is in flight):
+    /// an instruction may issue only once all its operands exist.
+    pub fn on_operands_issue(
+        &self,
+        idx: usize,
+        latest_producer: u64,
+        cycle: u64,
+    ) -> Result<(), CheckError> {
+        if latest_producer > cycle {
+            return Err(CheckError::new(
+                cycle,
+                "issue-before-operands",
+                format!(
+                    "issued index {idx} before its producer completes at cycle {latest_producer}"
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Called when a write-back port slot is granted: the slot's grant
     /// count after reservation must not exceed the write-port count.
     pub fn on_writeback_grant(
@@ -242,6 +263,32 @@ impl InvariantChecker {
                 "rf-write-ports",
                 format!("granted {grants} writes with {rf_write_ports} ports"),
             ));
+        }
+        Ok(())
+    }
+
+    /// End-of-run scheduler check: with the whole trace retired, the
+    /// issue queue must be empty (`iq` entries), no entry may be left in
+    /// the ready set (`ready`), and every producer's dependant list must
+    /// have been drained (`dependants` lists still holding a node).
+    pub fn on_scheduler_drained(
+        &self,
+        iq: usize,
+        ready: usize,
+        dependants: usize,
+    ) -> Result<(), CheckError> {
+        for (invariant, left) in [
+            ("iq-drained", iq),
+            ("ready-set-drained", ready),
+            ("dependants-drained", dependants),
+        ] {
+            if left != 0 {
+                return Err(CheckError::new(
+                    0,
+                    invariant,
+                    format!("{left} left after the last commit"),
+                ));
+            }
         }
         Ok(())
     }

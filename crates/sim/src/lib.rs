@@ -306,8 +306,8 @@ pub fn simulate_profiled(
 }
 
 /// Simulates with host-cycle stage timing enabled and returns the metrics
-/// plus a [`StageProf`] attributing stepped-cycle wall time to the five
-/// pipeline stages (see [`obs`]).
+/// plus a [`StageProf`] attributing stepped-cycle wall time to the
+/// pipeline stages and the idle fast-forward (see [`obs`]).
 ///
 /// Metrics are bit-identical to [`simulate`]; the stage brackets read the
 /// host clock around unmodified stage code. Shares are meaningful, raw

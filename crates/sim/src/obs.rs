@@ -52,14 +52,15 @@ pub struct CycleObs {
 /// Host-time cost of each pipeline stage over one stepped cycle, in
 /// [`stage_clock`] ticks (TSC reference cycles on x86-64, nanoseconds on
 /// the portable fallback). `issue` excludes the writeback-port
-/// reservation, which is reported separately as `writeback`.
+/// reservation, which is reported separately as `writeback`, and
+/// `idle_skip` is the fast-forward that follows the stages.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageTimes {
     /// Ticks spent in the commit stage.
     pub commit: u64,
-    /// Ticks spent in the issue stage (wakeup scan, operand checks,
-    /// structural hazards, execute-latency bookkeeping), minus the
-    /// writeback portion.
+    /// Ticks spent in the issue stage (wakeup drain, ready-set selection,
+    /// structural hazards, execute-latency bookkeeping, dependant
+    /// wakeup), minus the writeback portion.
     pub issue: u64,
     /// Ticks spent reserving register-file write ports (the writeback
     /// sub-stage that runs inside issue).
@@ -68,6 +69,9 @@ pub struct StageTimes {
     pub dispatch: u64,
     /// Ticks spent in the fetch stage.
     pub fetch: u64,
+    /// Ticks spent deciding (and taking) the idle fast-forward after
+    /// the stages ran.
+    pub idle_skip: u64,
 }
 
 /// Reads the stage-timing clock: the TSC on x86-64 (one `rdtsc`, ~20
@@ -248,8 +252,8 @@ impl SimObs for StallProfile {
 }
 
 /// Per-stage host-cycle-time attribution over a run: where the
-/// *simulator's* wall time goes, stage by stage — the measurement behind
-/// the cross-lane SoA back-end decision (ROADMAP Open item 1).
+/// *simulator's* wall time goes, stage by stage, plus the idle
+/// fast-forward that follows each stepped cycle.
 ///
 /// `ENABLED` is false so the per-cycle [`CycleObs`] snapshot is never
 /// built: the stage brackets time exactly the un-instrumented stage
@@ -259,17 +263,18 @@ impl SimObs for StallProfile {
 pub struct StageProf {
     /// Cycles the pipeline actually stepped (timed cycles).
     pub cycles_stepped: u64,
-    /// Cycles proven inert and skipped by the fast-forward (not timed).
+    /// Cycles proven inert and skipped by the fast-forward (the decision
+    /// is timed in `ticks.idle_skip`; the skipped cycles cost nothing).
     pub cycles_idle: u64,
     /// Accumulated per-stage ticks.
     pub ticks: StageTimes,
 }
 
 impl StageProf {
-    /// Total ticks attributed across all five stages.
+    /// Total ticks attributed across all six buckets.
     pub fn total_ticks(&self) -> u64 {
         let t = &self.ticks;
-        t.commit + t.issue + t.writeback + t.dispatch + t.fetch
+        t.commit + t.issue + t.writeback + t.dispatch + t.fetch + t.idle_skip
     }
 
     /// One stage's share of the total attributed stage time, in [0, 1].
@@ -287,6 +292,7 @@ impl StageProf {
         self.ticks.writeback += other.ticks.writeback;
         self.ticks.dispatch += other.ticks.dispatch;
         self.ticks.fetch += other.ticks.fetch;
+        self.ticks.idle_skip += other.ticks.idle_skip;
     }
 
     /// Renders the profile as aligned human-readable text.
@@ -298,6 +304,7 @@ impl StageProf {
             ("dispatch", t.dispatch),
             ("commit", t.commit),
             ("writeback", t.writeback),
+            ("idle_skip", t.idle_skip),
         ];
         let mut out = format!(
             "stage time over {} stepped cycles ({} idle-skipped):\n",
@@ -333,6 +340,7 @@ impl SimObs for StageProf {
         self.ticks.writeback += t.writeback;
         self.ticks.dispatch += t.dispatch;
         self.ticks.fetch += t.fetch;
+        self.ticks.idle_skip += t.idle_skip;
     }
 }
 
@@ -354,6 +362,7 @@ impl ToJson for StageProf {
             ("writeback", stage(t.writeback)),
             ("dispatch", stage(t.dispatch)),
             ("fetch", stage(t.fetch)),
+            ("idle_skip", stage(t.idle_skip)),
         ])
     }
 }
@@ -614,7 +623,8 @@ mod tests {
             issue: 60,
             writeback: 5,
             dispatch: 15,
-            fetch: 10,
+            fetch: 5,
+            idle_skip: 5,
         });
         p.on_stage_times(&StageTimes {
             commit: 0,
@@ -622,6 +632,7 @@ mod tests {
             writeback: 5,
             dispatch: 5,
             fetch: 50,
+            idle_skip: 0,
         });
         p.on_idle(7);
         assert_eq!(p.cycles_stepped, 2);

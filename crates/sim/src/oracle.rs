@@ -10,7 +10,8 @@
 //! * **Exact event counts** — fetch, rename, dispatch, issue and commit
 //!   each touch every trace instruction exactly once, so `fetched`,
 //!   `renamed`, `iq_inserts`, `iq_wakeups` and `rob_reads` all equal the
-//!   trace length; `rf_reads` is the number of register source operands;
+//!   trace length; `rf_reads` is the number of register source operands
+//!   (sources that name a position before the trace start excluded);
 //!   `rf_writes` the number of result-producing instructions;
 //!   `dcache_accesses`/`lsq_searches` the number of memory operations;
 //!   `bpred_accesses`/`btb_accesses` the number of branches; and `fu_ops`
@@ -147,7 +148,10 @@ pub fn analyze(cfg: &Config, cons: &ConstantParams, trace: &Trace) -> OracleRepo
     let line_bytes = cons.l1_line_bytes as u64;
 
     for (i, ins) in trace.iter().enumerate() {
-        counts.rf_reads += (ins.src1 > 0) as u64 + (ins.src2 > 0) as u64;
+        // A source naming a position before the trace start has no
+        // producer and is no operand (the pipeline drops it the same way).
+        let operand = |d: u32| (d > 0 && d as usize <= i) as u64;
+        counts.rf_reads += operand(ins.src1) + operand(ins.src2);
         counts.rf_writes += ins.kind.has_dest() as u64;
         counts.mem_ops += ins.kind.is_mem() as u64;
         counts.branches += (ins.kind == InstrKind::Branch) as u64;

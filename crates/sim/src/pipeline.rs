@@ -33,31 +33,25 @@
 //!   construction (fetch, dispatch and commit are all in program order),
 //!   so both are plain counters: ROB = `[committed, dispatched)`,
 //!   fetch queue = `[dispatched, next_fetch)`;
-//! * completion times live in a power-of-two ring indexed by trace
-//!   position, sized to cover the in-flight window (ROB + fetch queue);
-//!   positions below the commit watermark are complete by definition;
-//! * the issue queue is a fixed array compacted in program order during
-//!   the issue scan: entries stay dense and age-sorted for free, and a
-//!   cached per-entry ready bound rules most of them out on one compare.
-//!   (A fixed-slot layout with a vectorized SSE2 ready sweep was
-//!   prototyped and measured: parity on large queues — the scan is
-//!   latency-bound on its completion-ring probes, not compare
-//!   throughput — and ~1.4× *slower* on small stall-heavy queues, where
-//!   the per-scan sweep/sort constant dwarfs the handful of entries the
-//!   compaction touches. The compacting scan won on evidence.);
-//! * the wakeup heap is a tagged wheel indexed by completion cycle: slot
-//!   `t & (WHEEL-1)` holds `t` while a completion is scheduled there, and
-//!   the issue stage probes exactly one slot per cycle.
+//! * per-position scheduler state lives in one power-of-two ring of
+//!   [`Slot`]s indexed by trace position and sized to cover the
+//!   in-flight window; positions below the commit watermark are complete
+//!   by definition;
+//! * operand wakeup is pushed, never probed: dispatch links each entry
+//!   onto the intrusive dependant list of every unissued producer, an
+//!   issuing producer pushes its exact completion cycle to its
+//!   dependants, and an entry whose last producer has issued waits on
+//!   the wakeup wheel (slot `t & (WAKE_WHEEL-1)`: tag `t` + list head)
+//!   until its operand-ready cycle;
+//! * the issue queue is a ready bitmap over ring slots, walked
+//!   oldest-first from the commit slot, so selection touches only
+//!   entries that can issue.
 //!
-//! On top of the layout, the cycle loop fast-forwards over provably idle
-//! cycles ([`Pipeline::idle_skip`]): the issue scan publishes
-//! conservative [`PENDING`]-flagged completion lower bounds for unissued
-//! entries, caches a per-entry ready bound (`iq_ready`) with a
-//! queue-wide minimum (`iq_min_ready`) that elides fruitless scans, and
-//! a monotone `wake_floor` frontier bounds the wheel scan. All bounds
-//! are conservative — they move *when* work is examined, never what it
-//! computes — so metrics are bit-identical to stepping every cycle
-//! (pinned by `tests/golden_sim.rs`).
+//! The cycle loop also fast-forwards over provably idle cycles
+//! ([`Pipeline::idle_skip`]): with the ready set empty, issue can act
+//! only on a wheel event. Skipping moves only *when* work is examined,
+//! never what it computes, so metrics are bit-identical to stepping
+//! every cycle (pinned by `tests/golden_sim.rs`).
 
 use crate::batch::PlanLane;
 use crate::branch::{Btb, Gshare};
@@ -81,28 +75,16 @@ const FETCH_QUEUE_WIDTHS: usize = 4;
 /// on purpose: the ring is probed at random offsets per issued result,
 /// and at 8 Ki entries it stays resident in the host cache.
 const WB_RING: usize = 1 << 13;
-/// Size of the wakeup wheel. Unlike the writeback ring, the wheel need
-/// not cover the worst-case completion horizon: each slot stores its
-/// exact target cycle, so beyond-horizon events simply spill to
-/// `wheel_overflow` and migrate in lazily. 8 Ki slots (64 KiB of tags +
-/// 1 KiB of summary bits) covers all but deep memory-backlog
-/// completions while staying host-cache resident (a 2 Ki wheel was
-/// tried and measured at parity — kept at the writeback ring's size so
-/// [`MAX_IDLE_SKIP`] has headroom). Must be ≥ [`MAX_IDLE_SKIP`] so the
-/// idle scan's staleness-clearing argument holds (see
-/// [`Pipeline::idle_skip`]).
-const WAKE_WHEEL: usize = 1 << 13;
+/// Size of the wakeup wheel. It need not cover the worst-case
+/// operand-ready horizon: each slot stores its exact target cycle, so
+/// beyond-horizon wakeups spill to `wheel_overflow` and migrate in
+/// lazily. 4 Ki slots of (tag, list head) are 64 KiB, zero-initialised
+/// and host-cache resident.
+const WAKE_WHEEL: usize = 1 << 12;
 /// Largest per-class functional-unit pool (`int_alu` = width ≤ 8).
 const MAX_FU: usize = 8;
-/// High bit of a completion-ring slot: the value is a *lower bound* on an
-/// unissued instruction's completion (published by the issue scan for its
-/// dependants), not a scheduled completion. Flagged values exceed every
-/// reachable cycle, so commit, fetch-unblock, branch-retire and idle-skip
-/// treat them exactly like the `u64::MAX` "unscheduled" sentinel; only
-/// the issue scan strips the flag to chain readiness bounds.
-const PENDING: u64 = 1 << 63;
 /// Upper bound on one idle fast-forward step ([`Pipeline::idle_skip`]):
-/// small enough that lazily-migrated beyond-horizon completions are never
+/// small enough that lazily-migrated beyond-horizon wakeups are never
 /// overrun and a fruitless wheel scan stays cheap, large enough to clear
 /// any realistic memory-stall gap in one step (longer stalls take a few
 /// steps — skipped cycles mutate nothing, so the split is invisible).
@@ -111,6 +93,29 @@ const PENDING: u64 = 1 << 63;
 /// empty.
 const MAX_IDLE_SKIP: u64 = 4096;
 const _: () = assert!(MAX_IDLE_SKIP as usize <= WAKE_WHEEL);
+
+/// Scheduler state of one in-flight trace position (one ring slot);
+/// all-zero is the empty state. List links are node ids, `0` = end of
+/// list: a dependant-list node is `(slot << 1 | operand) + 1`, so an
+/// entry can sit on two producers' lists; a wakeup-list node is
+/// `slot + 1`, linked through `next[0]` — an entry is woken only after
+/// every dependant list holding it has been drained.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Completion cycle; `u64::MAX` from fetch until issue.
+    complete: u64,
+    /// Latest completion among the producers issued so far.
+    ready: u64,
+    /// Head of the list of dependants waiting for this one to issue.
+    deps: u32,
+    /// Per-operand dependant-list links (`next[0]` doubles as the
+    /// wakeup-list link).
+    next: [u32; 2],
+    /// Producers not yet issued (0–2).
+    waiting: u8,
+    /// Register source operands, i.e. read ports needed at issue (0–2).
+    nsrc: u8,
+}
 
 /// Options controlling a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,13 +336,12 @@ pub struct Pipeline<'t> {
     l1_line_shift: u32,
 
     cycle: u64,
-    /// Completion (result-available) cycle per in-flight trace position,
-    /// a power-of-two ring indexed by `idx & cmask`; `u64::MAX` from fetch
-    /// until scheduled. Positions below `committed` are complete by
-    /// definition (commit requires completion), so the window
+    /// Scheduler state per in-flight trace position, a power-of-two ring
+    /// indexed by `idx & cmask`. Positions below `committed` are complete
+    /// by definition (commit requires completion), so the window
     /// `[committed, next_fetch)` — which the ring is sized to cover — is
     /// the only range ever consulted.
-    complete: Box<[u64]>,
+    slots: Box<[Slot]>,
     cmask: usize,
 
     /// In-order stage cursors over trace positions. The ROB is
@@ -348,27 +352,14 @@ pub struct Pipeline<'t> {
     dispatched: usize,
     next_fetch: usize,
 
-    /// Issue-queue entries (trace positions), dense and in program order:
-    /// the issue scan compacts survivors in place, so age priority falls
-    /// out of array order and removal costs nothing extra.
-    iq: Box<[u32]>,
-    /// Cached earliest-ready lower bound per `iq` entry (parallel array).
-    /// `0` = not yet known. An unexpired bound rules an entry out on one
-    /// compare; an expired one forces a re-probe of the completion ring
-    /// (bounds under [`PENDING`] are conservative).
-    iq_ready: Box<[u64]>,
-    /// Live entries in `iq`/`iq_ready`.
+    /// Issue-queue entries whose operands are ready, one bit per ring
+    /// slot; all lie in `[committed, dispatched)`, so a circular walk
+    /// from the commit slot visits them oldest first.
+    ready_bits: Box<[u64]>,
+    /// Set bits in `ready_bits`.
+    ready_len: u32,
+    /// Live issue-queue entries (dispatched, not yet issued).
     iq_len: usize,
-    /// Minimum completion latency per [`InstrKind`] (indexed by the
-    /// kind's discriminant): issuing at cycle `c` completes no earlier
-    /// than `c + min_lat[kind]`. Tightens the [`PENDING`] chain bounds
-    /// the issue scan publishes for unissued entries — a dependant is
-    /// then not re-probed during the producer's execute window. Loads use
-    /// the L1-hit latency (every slower outcome is later); stores
-    /// complete in one cycle; everything else uses its fixed unit
-    /// latency, which non-pipelined units and writeback-port queueing can
-    /// only exceed.
-    min_lat: [u64; 9],
     lsq_occ: u32,
     phys_used: u32,
     rename_regs: u32,
@@ -415,36 +406,24 @@ pub struct Pipeline<'t> {
     /// stage accumulates, `step_until` drains); dead otherwise.
     wb_ticks: u64,
 
-    /// Set when an issue attempt failed on a structural hazard (ports,
-    /// units, width); forces a rescan next cycle.
-    structural_block: bool,
-    /// Set by dispatch when entries have landed since the last issue
-    /// scan. Fresh entries carry bound `0`, so the next scan picks them
-    /// up regardless of `iq_min_ready`; this flag is what forces that
-    /// scan (and pins the idle fast-forward) until it runs.
-    scan_dirty: bool,
-    /// Wakeup wheel: slot `t & (WAKE_WHEEL-1)` holds `t` while a
-    /// completion is scheduled at cycle `t`. Stale tags are simply never
-    /// equal to the probing cycle, so no clearing pass is needed.
-    wheel: Box<[u64]>,
+    /// Wakeup wheel: slot `t & (WAKE_WHEEL-1)` holds `[t, head]` while
+    /// entries are due to become ready at cycle `t`, with `head` the
+    /// first wakeup-list node. Stale tags are simply never equal to the
+    /// probing cycle, so no clearing pass is needed.
+    wheel: Box<[[u64; 2]]>,
     /// One bit per wheel slot, set when the slot *may* hold a live future
-    /// completion (a pure cache over `wheel`: bits go stale when a tag is
+    /// wakeup (a pure cache over `wheel`: bits go stale when a tag is
     /// overwritten or expires, and are lazily cleared by the idle scan).
     /// Lets [`Pipeline::idle_skip`] sweep 64 slots per word read.
     wheel_bits: Box<[u64]>,
-    /// Completions scheduled beyond the wheel horizon (unreachable for
-    /// legal configurations; kept so the wheel cannot silently alias).
-    wheel_overflow: Vec<u64>,
+    /// `(cycle, slot)` wakeups scheduled beyond the wheel horizon (rare:
+    /// a producer behind a deep memory backlog), migrated in lazily.
+    wheel_overflow: Vec<(u64, u32)>,
     /// Scan frontier for [`Pipeline::idle_skip`]: no wheel slot holds a
     /// value `v` with `cycle < v < wake_floor`. Lowered whenever a wake is
     /// scheduled below it, raised as idle scans prove ranges empty — so
     /// consecutive skips never re-read slots already known to be clear.
     wake_floor: u64,
-    /// Minimum of `iq_ready` over the current queue (`u64::MAX` when
-    /// empty): a lower bound on the earliest cycle *any* queued entry can
-    /// become ready. A wakeup below it provably issues nothing, so both
-    /// the issue scan and the idle fast-forward ignore such events.
-    iq_min_ready: u64,
 
     /// Invariant sanitizer; `None` when disabled, so the per-hook cost of
     /// a non-sanitized run is one skipped `Option` branch.
@@ -555,19 +534,6 @@ impl<'t> Pipeline<'t> {
         // `[committed, next_fetch)` plus slack for same-cycle transitions.
         let window = cfg.rob as usize + fetch_cap + 2 * cfg.width as usize;
         let csize = window.next_power_of_two();
-        // Indexed by `InstrKind` discriminant order: IntAlu, IntMul,
-        // IntDiv, FpAlu, FpMul, FpDiv, Load, Store, Branch.
-        let min_lat = [
-            cons.int_alu_latency as u64,
-            cons.int_mul_latency as u64,
-            cons.int_div_latency as u64,
-            cons.fp_alu_latency as u64,
-            cons.fp_mul_latency as u64,
-            cons.fp_div_latency as u64,
-            l1d_spec.latency_cycles() as u64,
-            1,
-            cons.int_alu_latency as u64,
-        ];
         Self {
             cfg: *cfg,
             cons: *cons,
@@ -594,15 +560,14 @@ impl<'t> Pipeline<'t> {
             mem: MemorySpec::standard(),
             l1_line_shift: cons.l1_line_bytes.trailing_zeros(),
             cycle: 0,
-            complete: vec![u64::MAX; csize].into_boxed_slice(),
+            slots: vec![Slot::default(); csize].into_boxed_slice(),
             cmask: csize - 1,
             committed: 0,
             dispatched: 0,
             next_fetch: 0,
-            iq: vec![0; cfg.iq as usize].into_boxed_slice(),
-            iq_ready: vec![0; cfg.iq as usize].into_boxed_slice(),
+            ready_bits: vec![0; csize.div_ceil(64)].into_boxed_slice(),
+            ready_len: 0,
             iq_len: 0,
-            min_lat,
             lsq_occ: 0,
             phys_used: 0,
             rename_regs: cfg.rf.saturating_sub(ARCH_REGS).max(4),
@@ -621,12 +586,9 @@ impl<'t> Pipeline<'t> {
             intruder: None,
             corun_hooks: false,
             wb_ticks: 0,
-            structural_block: false,
-            scan_dirty: true,
-            wheel: vec![0; WAKE_WHEEL].into_boxed_slice(),
+            wheel: vec![[0; 2]; WAKE_WHEEL].into_boxed_slice(),
             wheel_bits: vec![0; WAKE_WHEEL / 64].into_boxed_slice(),
             wake_floor: 1,
-            iq_min_ready: u64::MAX,
             wheel_overflow: Vec::with_capacity(16),
             checker: sanitize.then(InvariantChecker::new),
             check_fail,
@@ -666,56 +628,43 @@ impl<'t> Pipeline<'t> {
     /// Completion cycle of in-flight position `idx` (ring lookup).
     #[inline]
     fn completion(&self, idx: usize) -> u64 {
-        self.complete[idx & self.cmask]
+        self.slots[idx & self.cmask].complete
     }
 
-    /// Earliest cycle at which the operand `d` instructions back from
-    /// `idx` can become available: 0 when absent or already committed
-    /// (ready now), the scheduled completion once the producer has issued,
-    /// a [`PENDING`]-published lower bound while it sits in the IQ, and
-    /// `cycle + 1` when nothing is known. The operand is ready exactly
-    /// when the bound is `<= self.cycle` (unknown/pending bounds are
-    /// always in the future).
+    /// Producer distances of `idx`'s register operands, with a source
+    /// that names a position before the trace start dropped: it has no
+    /// producer in the trace, so — as in the reference oracle — it is no
+    /// operand at all.
     #[inline]
-    fn op_bound(&self, idx: usize, d: u32) -> u64 {
-        if d == 0 {
-            return 0;
-        }
-        let p = idx - d as usize;
-        if p < self.committed {
-            return 0;
-        }
-        let v = self.complete[p & self.cmask];
-        if v == u64::MAX {
-            self.cycle + 1
-        } else if v & PENDING != 0 {
-            // An expired lower bound proves nothing: the producer is still
-            // unissued, so the operand is at least a cycle away.
-            (v & !PENDING).max(self.cycle + 1)
+    fn operands(&self, idx: usize) -> [u32; 2] {
+        [self.src1[idx], self.src2[idx]].map(|d| if d as usize > idx { 0 } else { d })
+    }
+
+    /// Puts the entry in ring slot `s` into the ready set.
+    #[inline]
+    fn set_ready(&mut self, s: usize) {
+        self.ready_bits[s >> 6] |= 1 << (s & 63);
+        self.ready_len += 1;
+    }
+
+    /// Makes the entry in ring slot `s`, whose producers have all issued,
+    /// ready at cycle `t`: now if `t` has passed, otherwise by a wakeup —
+    /// on the wheel (tag + list + summary bit + floor; a tag other than
+    /// `t` is stale, its list drained when its cycle passed) or, beyond
+    /// the wheel's horizon, in `wheel_overflow`.
+    #[inline]
+    fn wake_at(&mut self, t: u64, s: usize) {
+        if t <= self.cycle {
+            self.set_ready(s);
+        } else if t - self.cycle < WAKE_WHEEL as u64 {
+            let w = (t as usize) & (WAKE_WHEEL - 1);
+            let [tag, head] = self.wheel[w];
+            self.slots[s].next[0] = if tag == t { head as u32 } else { 0 };
+            self.wheel[w] = [t, s as u64 + 1];
+            self.wheel_bits[w >> 6] |= 1 << (w & 63);
+            self.wake_floor = self.wake_floor.min(t);
         } else {
-            v
-        }
-    }
-
-    /// Writes wheel slot for cycle `t` (tag + summary bit + floor).
-    #[inline]
-    fn set_wheel(&mut self, t: u64) {
-        let slot = (t as usize) & (WAKE_WHEEL - 1);
-        self.wheel[slot] = t;
-        self.wheel_bits[slot >> 6] |= 1 << (slot & 63);
-        if t < self.wake_floor {
-            self.wake_floor = t;
-        }
-    }
-
-    /// Schedules a wakeup probe for completion cycle `t` (strictly in the
-    /// future: every latency is ≥ 1 cycle).
-    #[inline]
-    fn wake_at(&mut self, t: u64) {
-        if t - self.cycle < WAKE_WHEEL as u64 {
-            self.set_wheel(t);
-        } else {
-            self.wheel_overflow.push(t);
+            self.wheel_overflow.push((t, s as u32));
         }
     }
 
@@ -847,17 +796,16 @@ impl<'t> Pipeline<'t> {
             // Stage brackets: one clock read per stage boundary, gated
             // on the monomorphised `STAGE_TIMING` constant so the
             // default (and stall-profiled) loops compile unchanged.
-            let t0 = if O::STAGE_TIMING {
-                crate::obs::stage_clock()
-            } else {
-                0
+            let clock = || {
+                if O::STAGE_TIMING {
+                    crate::obs::stage_clock()
+                } else {
+                    0
+                }
             };
+            let t0 = clock();
             let committed_now = self.commit();
-            let t1 = if O::STAGE_TIMING {
-                crate::obs::stage_clock()
-            } else {
-                0
-            };
+            let t1 = clock();
             if committed_now > 0 {
                 self.last_commit_cycle = self.cycle;
             }
@@ -871,30 +819,11 @@ impl<'t> Pipeline<'t> {
             );
 
             self.issue::<O>();
-            let t2 = if O::STAGE_TIMING {
-                crate::obs::stage_clock()
-            } else {
-                0
-            };
+            let t2 = clock();
             self.dispatch();
-            let t3 = if O::STAGE_TIMING {
-                crate::obs::stage_clock()
-            } else {
-                0
-            };
+            let t3 = clock();
             self.fetch();
-
-            if O::STAGE_TIMING {
-                let t4 = crate::obs::stage_clock();
-                let wb = std::mem::take(&mut self.wb_ticks);
-                obs.on_stage_times(&crate::obs::StageTimes {
-                    commit: t1.wrapping_sub(t0),
-                    issue: t2.wrapping_sub(t1).saturating_sub(wb),
-                    writeback: wb,
-                    dispatch: t3.wrapping_sub(t2),
-                    fetch: t4.wrapping_sub(t3),
-                });
-            }
+            let t4 = clock();
 
             if O::ENABLED {
                 let (rob_was_empty, fetch_q_was_empty, prev) =
@@ -932,6 +861,7 @@ impl<'t> Pipeline<'t> {
             // Event-driven fast-forward: jump the clock over cycles in
             // which no stage can act. Skipped cycles mutate no state, so
             // results are bit-identical to stepping through them.
+            let t5 = clock();
             if self.committed < n {
                 let skip = self.idle_skip();
                 if (O::ENABLED || O::STAGE_TIMING) && skip > 0 {
@@ -939,6 +869,18 @@ impl<'t> Pipeline<'t> {
                 }
                 self.cycle += skip;
                 self.counters.cycles += skip;
+            }
+
+            if O::STAGE_TIMING {
+                let wb = std::mem::take(&mut self.wb_ticks);
+                obs.on_stage_times(&crate::obs::StageTimes {
+                    commit: t1.wrapping_sub(t0),
+                    issue: t2.wrapping_sub(t1).saturating_sub(wb),
+                    writeback: wb,
+                    dispatch: t3.wrapping_sub(t2),
+                    fetch: t4.wrapping_sub(t3),
+                    idle_skip: clock().wrapping_sub(t5),
+                });
             }
         }
         Ok(())
@@ -1009,6 +951,9 @@ impl<'t> Pipeline<'t> {
     fn final_checks(&self, chk: &InvariantChecker) -> Result<(), CheckError> {
         let n = self.kinds.len() as u64;
         chk.on_finish(self.kinds.len())?;
+        let ready = self.ready_bits.iter().map(|w| w.count_ones()).sum::<u32>() + self.ready_len;
+        let undrained = self.slots.iter().filter(|e| e.deps != 0).count();
+        chk.on_scheduler_drained(self.iq_len, ready as usize, undrained)?;
 
         // Per-structure self-consistency (a planned front end validates
         // the shared plan structures plus exact plan consumption).
@@ -1067,16 +1012,18 @@ impl<'t> Pipeline<'t> {
     ///
     /// The per-stage obligations are local:
     ///
-    /// * issue acts only on a wakeup-wheel event, a pending rescan
-    ///   (a fresh dispatch, `scan_dirty`) or a structural retry
-    ///   (`structural_block`);
+    /// * issue acts only while the ready set is non-empty (which includes
+    ///   every structural or width-limited retry) or on a wakeup-wheel
+    ///   event, which is the only way an entry joins the ready set later;
     /// * commit acts only when the ROB head's completion cycle arrives —
-    ///   known from the ring, or wake-gated for an unissued head;
+    ///   known from the ring once the head has issued, and otherwise
+    ///   behind an issue, hence behind a wheel event;
     /// * dispatch acts only when the fetch queue is non-empty and its head
     ///   clears the ROB/IQ/LSQ/register caps, all of which change only
     ///   via commit, issue or fetch;
-    /// * fetch acts only when unblocked (mispredict resolution is a wheel
-    ///   event), unstalled (`fetch_stall_until` is known), the queue has
+    /// * fetch acts only when unblocked (an issued mispredict resolves at
+    ///   its known completion, an unissued one behind an issue),
+    ///   unstalled (`fetch_stall_until` is known), the queue has
     ///   room (dispatch-gated) and trace instructions remain. Deferring
     ///   its per-cycle resolved-branch retire is invisible: the retained
     ///   set at the landing cycle is the same either way, and no fetch
@@ -1088,7 +1035,7 @@ impl<'t> Pipeline<'t> {
     /// `&mut self` solely to advance the `wake_floor` scan frontier, a
     /// pure cache over the wheel's contents.)
     fn idle_skip(&mut self) -> u64 {
-        if self.scan_dirty || self.structural_block {
+        if self.ready_len > 0 {
             return 0;
         }
         // Dispatch must be unable to act on the current head.
@@ -1109,10 +1056,10 @@ impl<'t> Pipeline<'t> {
             if done <= self.cycle {
                 return 0; // resolves on the next fetch call
             }
-            // An issued mispredict resolves at its exact completion; its
-            // wakeup may be filtered below as fruitless for the IQ, so
-            // bound the skip here. (Unissued: gated by `iq_min_ready`.)
-            if done != u64::MAX && done & PENDING == 0 {
+            // An issued mispredict resolves at its exact completion,
+            // which is no wheel event, so bound the skip here. (Unissued:
+            // it resolves only after a wake-driven issue.)
+            if done != u64::MAX {
                 bound = bound.min(done);
             }
         } else if self.cycle < self.fetch_stall_until {
@@ -1136,9 +1083,9 @@ impl<'t> Pipeline<'t> {
                 bound = bound.min(done);
             }
         }
-        // Beyond-horizon completions migrate lazily in issue(); never
-        // skip past one (the list is almost always empty).
-        for &t in &self.wheel_overflow {
+        // Beyond-horizon wakeups migrate lazily in issue(); never skip
+        // past one (the list is almost always empty).
+        for &(t, _) in &self.wheel_overflow {
             bound = bound.min(t);
         }
         // The earliest scheduled wakeup bounds everything else: scan the
@@ -1146,13 +1093,8 @@ impl<'t> Pipeline<'t> {
         // bitmap — 64 slots per word read, so a long empty gap costs a
         // handful of loads — with the `wake_floor` frontier making it
         // incremental: slots a previous scan already proved empty are
-        // never re-read. Wakeups below `iq_min_ready` are skipped over:
-        // the issue scan they would trigger is provably fruitless, and
-        // every other stage's obligation is bounded explicitly above. A
-        // filtered wakeup ends up behind the landing cycle
-        // (`target - 1`), so advancing the frontier over it can never
-        // hide a still-future event. (The scan range is < MAX_IDLE_SKIP
-        // < WAKE_WHEEL, and any tag in a scanned slot that differs from
+        // never re-read. (The scan range is < MAX_IDLE_SKIP ≤
+        // WAKE_WHEEL, and any tag in a scanned slot that differs from
         // the probe cycle is provably stale — an equal-slot *future*
         // cycle would have been beyond the wheel horizon at scheduling
         // time — so clearing its summary bit is safe.)
@@ -1163,21 +1105,18 @@ impl<'t> Pipeline<'t> {
             let word = slot >> 6;
             let off = slot & 63;
             let rem = self.wheel_bits[word] >> off;
-            if rem == 0 {
-                t += (64 - off) as u64;
+            if rem & 1 == 0 {
+                t += if rem == 0 {
+                    64 - off as u64
+                } else {
+                    rem.trailing_zeros() as u64
+                };
                 continue;
             }
-            let step = rem.trailing_zeros() as u64;
-            if step > 0 {
-                t += step;
-                continue;
-            }
-            if self.wheel[slot] == t && t >= self.iq_min_ready {
+            if self.wheel[slot][0] == t {
                 target = t;
                 break;
             }
-            // Stale tag, or a filtered wakeup the skip passes over — the
-            // slot lands behind the frontier either way.
             self.wheel_bits[word] &= !(1u64 << off);
             t += 1;
         }
@@ -1225,162 +1164,109 @@ impl<'t> Pipeline<'t> {
     // Issue
     // ------------------------------------------------------------------
     fn issue<O: SimObs>(&mut self) {
-        // Probe the wakeup wheel; a scan is only worthwhile when something
-        // changed (a completion landed, a dispatch happened, or the last
-        // scan failed on a structural hazard that time alone resolves).
-        let mut woke = self.wheel[(self.cycle as usize) & (WAKE_WHEEL - 1)] == self.cycle;
-        if !self.wheel_overflow.is_empty() {
-            let cycle = self.cycle;
-            let mut i = 0;
-            while i < self.wheel_overflow.len() {
-                let t = self.wheel_overflow[i];
-                if t <= cycle {
-                    woke = true;
-                    self.wheel_overflow.swap_remove(i);
-                } else if t - cycle < WAKE_WHEEL as u64 {
-                    self.set_wheel(t);
-                    self.wheel_overflow.swap_remove(i);
-                } else {
-                    i += 1;
-                }
+        // Wakeups due this cycle join the ready set.
+        let cycle = self.cycle;
+        let w = (cycle as usize) & (WAKE_WHEEL - 1);
+        if self.wheel[w][0] == cycle {
+            let mut node = std::mem::take(&mut self.wheel[w][1]) as usize;
+            while node != 0 {
+                let s = node - 1;
+                node = self.slots[s].next[0] as usize;
+                self.set_ready(s);
             }
         }
-        if !woke && !self.scan_dirty && !self.structural_block {
+        if !self.wheel_overflow.is_empty() {
+            self.migrate_overflow();
+        }
+        if self.ready_len == 0 {
             return;
         }
-        // A wakeup with every cached ready bound still in the future is
-        // provably fruitless: bounds are conservative (an entry is never
-        // ready before its bound), so the scan would keep every entry and
-        // issue nothing. Bounds affect only when work happens, never its
-        // outcome, so eliding the scan is bit-exact.
-        if !self.scan_dirty && !self.structural_block && self.iq_min_ready > self.cycle {
-            return;
-        }
-        self.scan_dirty = false;
-        self.structural_block = false;
 
-        let cycle = self.cycle;
-        let mut min = u64::MAX;
+        // Oldest-first selection: walk the ready bitmap circularly from
+        // the commit slot (`words` is a power of two). Issuing only
+        // clears bits — an issued producer's dependants become ready
+        // strictly later — so one read per word suffices. Entries that
+        // fail a port, unit or width check stay set and retry next cycle.
         let mut issued = 0u32;
         let mut reads_used = 0u32;
         let mut mem_ports_used = 0u32;
-        let len = self.iq_len;
-        let mut r = 0usize;
-        let mut w = 0usize;
-        while r < len {
-            if issued >= self.cfg.width {
-                break;
+        let words = self.ready_bits.len();
+        let start = self.committed & self.cmask;
+        let (w0, b0) = (start >> 6, start & 63);
+        'select: for k in 0..=words {
+            let w = (w0 + k) & (words - 1);
+            let mut bits = self.ready_bits[w];
+            if k == 0 {
+                bits &= u64::MAX << b0;
+            } else if k == words {
+                bits &= (1u64 << b0) - 1;
             }
-            let idx = self.iq[r] as usize;
-            let rt = self.iq_ready[r];
-            r += 1;
+            while bits != 0 {
+                let s = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let idx = self.committed + (s.wrapping_sub(start) & self.cmask);
 
-            // Operand readiness (results forward the cycle they complete):
-            // an unexpired cached lower bound rules the entry out on one
-            // compare; otherwise re-derive the bound from the ring.
-            if rt > cycle {
-                self.iq[w] = idx as u32;
-                self.iq_ready[w] = rt;
-                min = min.min(rt);
-                w += 1;
-                continue;
-            }
-            let d1 = self.src1[idx];
-            let d2 = self.src2[idx];
-            let rt = self.op_bound(idx, d1).max(self.op_bound(idx, d2));
-            if rt > cycle {
-                // Not ready: cache the ready bound and publish a completion
-                // lower bound (ready + the kind's minimum latency) so that
-                // dependants — later in this same program-ordered scan and
-                // in later scans — bound whole chains without re-probing.
-                self.iq[w] = idx as u32;
-                self.iq_ready[w] = rt;
-                self.complete[idx & self.cmask] =
-                    (rt + self.min_lat[self.kinds[idx] as usize]) | PENDING;
-                min = min.min(rt);
-                w += 1;
-                continue;
-            }
+                // Register-file read ports.
+                let nsrc = self.slots[s].nsrc as u32;
+                if reads_used + nsrc > self.cfg.rf_read {
+                    continue;
+                }
 
-            // Register-file read ports.
-            let nsrc = (d1 > 0) as u32 + (d2 > 0) as u32;
-            if reads_used + nsrc > self.cfg.rf_read {
-                self.structural_block = true;
-                self.iq[w] = idx as u32;
-                self.iq_ready[w] = rt;
-                min = min.min(rt);
-                w += 1;
-                continue;
-            }
+                // Cache ports for memory operations.
+                let m = self.metas[idx];
+                if m & meta::IS_MEM != 0 && mem_ports_used >= self.cons.mem_ports {
+                    continue;
+                }
 
-            // Cache ports for memory operations.
-            let m = self.metas[idx];
-            if m & meta::IS_MEM != 0 && mem_ports_used >= self.cons.mem_ports {
-                self.structural_block = true;
-                self.iq[w] = idx as u32;
-                self.iq_ready[w] = rt;
-                min = min.min(rt);
-                w += 1;
-                continue;
-            }
+                // Functional unit.
+                let class = (m & meta::FU_MASK) as usize;
+                let pool = self.fu_len[class] as usize;
+                let Some(unit) = self.fu_busy[class][..pool].iter().position(|&b| b <= cycle)
+                else {
+                    continue;
+                };
 
-            // Functional unit.
-            let class = (m & meta::FU_MASK) as usize;
-            let pool = self.fu_len[class] as usize;
-            let Some(unit) = self.fu_busy[class][..pool].iter().position(|&b| b <= cycle) else {
-                self.structural_block = true;
-                self.iq[w] = idx as u32;
-                self.iq_ready[w] = rt;
-                min = min.min(rt);
-                w += 1;
-                continue;
-            };
+                // --- the instruction issues ---
+                if self.checker.is_some() {
+                    self.check_operands_ready(idx);
+                }
+                let (exec_done, unit_busy_until) = self.execute_latency(self.kinds[idx], idx);
+                self.fu_busy[class][unit] = unit_busy_until;
+                reads_used += nsrc;
+                self.counters.rf_reads += nsrc as u64;
+                self.counters.iq_wakeups += 1;
+                self.counters.fu_ops[class] += 1;
+                if m & meta::IS_MEM != 0 {
+                    mem_ports_used += 1;
+                    self.counters.lsq_searches += 1;
+                }
 
-            // --- the instruction issues ---
-            let (exec_done, unit_busy_until) = self.execute_latency(self.kinds[idx], idx);
-            self.fu_busy[class][unit] = unit_busy_until;
-            reads_used += nsrc;
-            self.counters.rf_reads += nsrc as u64;
-            self.counters.iq_wakeups += 1;
-            self.counters.fu_ops[class] += 1;
-            if m & meta::IS_MEM != 0 {
-                mem_ports_used += 1;
-                self.counters.lsq_searches += 1;
-            }
-
-            // Writeback port reservation for result-producing instructions.
-            let done = if m & meta::HAS_DEST != 0 {
-                let slot = if O::STAGE_TIMING {
-                    let w0 = crate::obs::stage_clock();
-                    let slot = self.reserve_wb(exec_done);
-                    self.wb_ticks += crate::obs::stage_clock().wrapping_sub(w0);
+                // Writeback port reservation for result-producing instructions.
+                let done = if m & meta::HAS_DEST != 0 {
+                    let slot = if O::STAGE_TIMING {
+                        let w0 = crate::obs::stage_clock();
+                        let slot = self.reserve_wb(exec_done);
+                        self.wb_ticks += crate::obs::stage_clock().wrapping_sub(w0);
+                        slot
+                    } else {
+                        self.reserve_wb(exec_done)
+                    };
+                    self.counters.rf_writes += 1;
+                    self.counters.rob_writes += 1;
                     slot
                 } else {
-                    self.reserve_wb(exec_done)
+                    exec_done
                 };
-                self.counters.rf_writes += 1;
-                self.counters.rob_writes += 1;
-                slot
-            } else {
-                exec_done
-            };
-            self.complete[idx & self.cmask] = done;
-            self.wake_at(done);
-            issued += 1;
-            if issued == self.cfg.width {
-                self.structural_block = true; // width-limited: retry next cycle
+                self.ready_bits[w] &= !(1u64 << (s & 63));
+                self.ready_len -= 1;
+                self.iq_len -= 1;
+                self.complete_at(s, done);
+                issued += 1;
+                if issued == self.cfg.width {
+                    break 'select;
+                }
             }
         }
-        // Compact the unexamined tail (the scan stopped at the width limit).
-        while r < len {
-            self.iq[w] = self.iq[r];
-            self.iq_ready[w] = self.iq_ready[r];
-            min = min.min(self.iq_ready[w]);
-            r += 1;
-            w += 1;
-        }
-        self.iq_len = w;
-        self.iq_min_ready = min;
 
         if let Some(chk) = self.checker.as_ref() {
             if let Err(e) = chk.on_issue(
@@ -1390,6 +1276,61 @@ impl<'t> Pipeline<'t> {
                 self.cons.mem_ports,
                 self.cycle,
             ) {
+                self.check_fail.get_or_insert(e);
+            }
+        }
+    }
+
+    /// Records the completion cycle of the instruction in ring slot `s`
+    /// and pushes it to the instruction's dependants: each takes the
+    /// later of its operand-ready cycles, and one whose last outstanding
+    /// producer this was is woken at that cycle.
+    #[inline]
+    fn complete_at(&mut self, s: usize, done: u64) {
+        self.slots[s].complete = done;
+        let mut node = std::mem::take(&mut self.slots[s].deps) as usize;
+        while node != 0 {
+            let (c, op) = ((node - 1) >> 1, (node - 1) & 1);
+            let e = &mut self.slots[c];
+            node = e.next[op] as usize;
+            e.ready = e.ready.max(done);
+            e.waiting -= 1;
+            if e.waiting == 0 {
+                let t = e.ready;
+                self.wake_at(t, c);
+            }
+        }
+    }
+
+    /// Moves beyond-horizon wakeups that have come within the wheel's
+    /// horizon (or are due) onto the wheel (or into the ready set).
+    #[cold]
+    fn migrate_overflow(&mut self) {
+        let cycle = self.cycle;
+        let mut i = 0;
+        while i < self.wheel_overflow.len() {
+            let (t, s) = self.wheel_overflow[i];
+            if t < cycle + WAKE_WHEEL as u64 {
+                self.wheel_overflow.swap_remove(i);
+                self.wake_at(t, s as usize);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Sanitizer probe at issue, the only ring probe push wakeup keeps:
+    /// every in-flight producer of `idx` must have completed by now.
+    fn check_operands_ready(&mut self, idx: usize) {
+        let latest = self
+            .operands(idx)
+            .into_iter()
+            .filter(|&d| d > 0 && idx - d as usize >= self.committed)
+            .map(|d| self.completion(idx - d as usize))
+            .max()
+            .unwrap_or(0);
+        if let Some(chk) = self.checker.as_ref() {
+            if let Err(e) = chk.on_operands_issue(idx, latest, self.cycle) {
                 self.check_fail.get_or_insert(e);
             }
         }
@@ -1558,13 +1499,8 @@ impl<'t> Pipeline<'t> {
                 break;
             }
             self.dispatched += 1;
-            // Append in program order; the zero bound marks the entry
-            // unexamined, and `scan_dirty` forces the next scan to fold
-            // it into `iq_min_ready`.
-            self.iq[self.iq_len] = idx as u32;
-            self.iq_ready[self.iq_len] = 0;
             self.iq_len += 1;
-            self.scan_dirty = true;
+            self.link_operands(idx);
             if is_mem {
                 self.lsq_occ += 1;
             }
@@ -1575,6 +1511,40 @@ impl<'t> Pipeline<'t> {
             self.counters.rob_writes += 1;
             self.counters.iq_inserts += 1;
             n += 1;
+        }
+    }
+
+    /// Enters dispatched position `idx` into the scheduler. An operand
+    /// whose producer has issued (or committed) contributes its known
+    /// completion to the ready cycle; an unissued producer gets the entry
+    /// on its dependant list instead. With no producer outstanding the
+    /// entry is woken at once.
+    fn link_operands(&mut self, idx: usize) {
+        let s = idx & self.cmask;
+        let [d1, d2] = self.operands(idx);
+        let mut ready = 0;
+        let mut waiting = 0;
+        // Two operands naming one producer need only one wakeup.
+        for (op, d) in [(0, d1), (1, if d2 == d1 { 0 } else { d2 })] {
+            if d == 0 || idx - (d as usize) < self.committed {
+                continue;
+            }
+            let p = (idx - d as usize) & self.cmask;
+            let done = self.slots[p].complete;
+            if done != u64::MAX {
+                ready = ready.max(done);
+                continue;
+            }
+            self.slots[s].next[op] = self.slots[p].deps;
+            self.slots[p].deps = (((s << 1) | op) + 1) as u32;
+            waiting += 1;
+        }
+        let e = &mut self.slots[s];
+        e.ready = ready;
+        e.waiting = waiting;
+        e.nsrc = (d1 > 0) as u8 + (d2 > 0) as u8;
+        if waiting == 0 {
+            self.wake_at(ready, s);
         }
     }
 
@@ -1603,7 +1573,7 @@ impl<'t> Pipeline<'t> {
             let mut w = 0usize;
             for r in 0..self.unresolved_len {
                 let b = self.unresolved[r];
-                if self.complete[(b as usize) & self.cmask] > self.cycle {
+                if self.completion(b as usize) > self.cycle {
                     self.unresolved[w] = b;
                     w += 1;
                 }
@@ -1645,7 +1615,7 @@ impl<'t> Pipeline<'t> {
                 let correct = self.frontend.branch_access(pc, taken, target);
                 self.unresolved[self.unresolved_len] = idx as u32;
                 self.unresolved_len += 1;
-                self.complete[idx & self.cmask] = u64::MAX;
+                self.slots[idx & self.cmask].complete = u64::MAX;
                 self.counters.fetched += 1;
                 self.next_fetch += 1;
                 fetched += 1;
@@ -1660,7 +1630,7 @@ impl<'t> Pipeline<'t> {
                     return;
                 }
             } else {
-                self.complete[idx & self.cmask] = u64::MAX;
+                self.slots[idx & self.cmask].complete = u64::MAX;
                 self.counters.fetched += 1;
                 self.next_fetch += 1;
                 fetched += 1;
@@ -1782,6 +1752,29 @@ mod tests {
             few.cycles,
             many.cycles
         );
+    }
+
+    #[test]
+    fn source_before_trace_start_is_no_dependency() {
+        // The first instructions name a producer five back, before the
+        // trace start: the run must equal the one with those sources
+        // zeroed (not deadlock, not underflow).
+        let mk = |d: u32| {
+            let instrs = (0..4000u32).map(|i| Instr {
+                src1: if i < 3 { d } else { (i % 3 == 0) as u32 },
+                src2: if i == 1 { d } else { 0 },
+                ..alu(0x40_0000 + (i % 512) * 4)
+            });
+            mk_trace(instrs.collect())
+        };
+        let run = |t: &Trace| {
+            let opts = SimOptions::with_warmup(0);
+            let p = Pipeline::new(&Config::baseline(), &ConstantParams::standard(), t, opts);
+            p.try_run_full().unwrap()
+        };
+        let (dangling, zeroed) = (run(&mk(5)), run(&mk(0)));
+        assert_eq!(dangling.result, zeroed.result);
+        assert_eq!(dangling.counters.rf_reads, zeroed.counters.rf_reads);
     }
 
     #[test]

@@ -14,6 +14,15 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+# Every benchmark number comes from a release build, where overflow
+# checks are off and a scheduler defect shows as a deadlock or a drifted
+# result rather than a panic: run the simulator's bit-identity suites
+# and unit tests in release too.
+echo "== cargo test --release: simulator suites =="
+cargo test -q --offline --release \
+  --test golden_sim --test differential_oracle --test batch_sim
+cargo test -q --offline --release -p dse-sim
+
 # The default test pass already sanitizes (debug builds default the
 # sanitizer on), but run once with the flag forced so the env-var path
 # itself can't bit-rot.
@@ -74,6 +83,8 @@ else
     || { echo "stage profile missing machine-readable line"; exit 1; }
   grep -q '"issue"' "$OBS_DIR/stages-scalar.txt" \
     || { echo "stage profile missing issue bucket"; exit 1; }
+  grep -q '"idle_skip"' "$OBS_DIR/stages-scalar.txt" \
+    || { echo "stage profile missing idle_skip bucket"; exit 1; }
   ARCHDSE_BATCH=4 cargo run --release --offline -q -- simulate gzip --profile-stages \
     >"$OBS_DIR/stages-batch.txt"
   grep -q "mode *: *lockstep" "$OBS_DIR/stages-batch.txt" \

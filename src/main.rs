@@ -333,7 +333,7 @@ fn cmd_simulate(args: &[String]) -> i32 {
 }
 
 /// `simulate <bench> --profile-stages`: attributes stepped-cycle host
-/// time to the five pipeline stages. Honors `ARCHDSE_BATCH`: width 1
+/// time to the pipeline stages and the idle fast-forward. Honors `ARCHDSE_BATCH`: width 1
 /// times the scalar live path, width > 1 runs that many identical
 /// lockstep lanes through [`archdse::sim::SweepEngine`] and merges the
 /// per-lane profiles, so the batched stepping cost is what is measured.
